@@ -6,6 +6,14 @@
 //! surface is cheap to differentiate analytically (see
 //! [`crate::gp::GpRegression::lml_with_grad`]) but multimodal and poorly
 //! scaled across parameters, which adaptive per-coordinate steps absorb.
+//!
+//! One Adam iteration is one [`GpRegression::set_hyperparameters`] and one
+//! [`GpRegression::lml_with_grad`]: the kernel refreshes its cached scales
+//! (`d + 1` `exp`s), the Gram matrix is built over the `n(n+1)/2` pairs
+//! `j ≤ i` and factored once, the lower triangle of `K⁻¹` is formed
+//! ([`mtm_linalg::Cholesky::inverse_lower`]), and one gradient sweep
+//! visits the same pairs. Every step computes exactly what the full
+//! Gram, full inverse and per-pair `exp` form would, bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

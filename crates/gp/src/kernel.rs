@@ -4,6 +4,10 @@
 //! `log ℓ_i`): that keeps them positive under unconstrained optimization
 //! and makes the marginal-likelihood surface much better behaved. The
 //! gradient methods therefore return `∂k/∂(log θ_j)`.
+//!
+//! Each kernel caches its linear-space scales (`σ_f²` and every `1/ℓ_i`)
+//! when its parameters are set, so the pair loops of a Gram build or a
+//! cross-covariance block do no per-dimension `exp`.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,39 +39,49 @@ pub trait Kernel: Send + Sync + Clone {
     fn input_dim(&self) -> usize;
 }
 
-/// Squared-exponential (RBF) kernel with Automatic Relevance Determination:
+/// Log-space ARD hyperparameters shared by both kernels, with the
+/// linear-space scales the pair loops read.
 ///
-/// ```text
-/// k(a, b) = σ_f² exp( -½ Σ_i (a_i - b_i)² / ℓ_i² )
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SquaredExpArd {
+/// `sf2 = exp(log σ_f²)` and `inv_l[i] = exp(-log ℓ_i)` are computed
+/// once per [`Kernel::set_params`] (and at construction or
+/// deserialization) rather than once per pair and dimension inside
+/// `eval`. They are the same `exp` calls on the same inputs, so every
+/// kernel value is bit-equal to evaluating them inline. Only the two
+/// log-space fields are serialized.
+#[derive(Debug, Clone)]
+struct Ard {
     log_signal_var: f64,
     log_lengthscales: Vec<f64>,
+    sf2: f64,
+    inv_l: Vec<f64>,
 }
 
-impl SquaredExpArd {
-    /// Create with uniform `lengthscale` across `dim` inputs and signal
-    /// variance `signal_var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is zero or either scale parameter is not positive.
-    pub fn new(dim: usize, signal_var: f64, lengthscale: f64) -> Self {
+impl Ard {
+    fn new(dim: usize, signal_var: f64, lengthscale: f64) -> Self {
         assert!(dim > 0 && signal_var > 0.0 && lengthscale > 0.0);
-        SquaredExpArd {
-            log_signal_var: signal_var.ln(),
-            log_lengthscales: vec![lengthscale.ln(); dim],
+        Ard::from_logs(signal_var.ln(), vec![lengthscale.ln(); dim])
+    }
+
+    fn from_logs(log_signal_var: f64, log_lengthscales: Vec<f64>) -> Self {
+        let mut ard = Ard {
+            log_signal_var,
+            inv_l: log_lengthscales.clone(),
+            log_lengthscales,
+            sf2: 0.0,
+        };
+        ard.refresh_scales();
+        ard
+    }
+
+    /// Rebuild the linear-space cache from the log-space parameters, in
+    /// place.
+    fn refresh_scales(&mut self) {
+        self.sf2 = self.log_signal_var.exp();
+        for (s, l) in self.inv_l.iter_mut().zip(&self.log_lengthscales) {
+            *s = (-l).exp();
         }
     }
 
-    /// Current lengthscales (linear space).
-    pub fn lengthscales(&self) -> Vec<f64> {
-        self.log_lengthscales.iter().map(|l| l.exp()).collect()
-    }
-}
-
-impl Kernel for SquaredExpArd {
     fn n_params(&self) -> usize {
         1 + self.log_lengthscales.len()
     }
@@ -83,31 +97,129 @@ impl Kernel for SquaredExpArd {
         assert_eq!(p.len(), self.n_params());
         self.log_signal_var = p[0];
         self.log_lengthscales.copy_from_slice(&p[1..]);
+        self.refresh_scales();
+    }
+
+    fn lengthscales(&self) -> Vec<f64> {
+        self.log_lengthscales.iter().map(|l| l.exp()).collect()
+    }
+
+    /// Scaled squared distance `r² = Σ_i ((a_i - b_i) / ℓ_i)²`.
+    fn r2(&self, a: &[f64], b: &[f64]) -> f64 {
+        debug_assert!(a.len() == self.inv_l.len() && b.len() == self.inv_l.len());
+        let mut r2 = 0.0;
+        for ((x, y), s) in a.iter().zip(b).zip(&self.inv_l) {
+            let d = (x - y) * s;
+            r2 += d * d;
+        }
+        r2
+    }
+
+    /// [`r2`](Self::r2), also writing each dimension's term into `per_dim`.
+    fn r2_per_dim(&self, a: &[f64], b: &[f64], per_dim: &mut [f64]) -> f64 {
+        debug_assert!(a.len() == self.inv_l.len() && b.len() == self.inv_l.len());
+        debug_assert_eq!(per_dim.len(), self.inv_l.len());
+        let mut r2 = 0.0;
+        for (((x, y), s), out) in a.iter().zip(b).zip(&self.inv_l).zip(per_dim) {
+            let d = (x - y) * s;
+            let d2 = d * d;
+            *out = d2;
+            r2 += d2;
+        }
+        r2
+    }
+
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("log_signal_var".to_string(), self.log_signal_var.to_value()),
+            (
+                "log_lengthscales".to_string(),
+                self.log_lengthscales.to_value(),
+            ),
+        ])
+    }
+
+    fn from_value(v: &serde::Value, ty: &str) -> Result<Self, serde::DeError> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| serde::DeError::custom(format!("{ty}: expected object")))?;
+        let field = |name: &str| {
+            serde::__get(pairs, name).ok_or_else(|| serde::DeError::missing_field(name, ty))
+        };
+        Ok(Ard::from_logs(
+            Deserialize::from_value(field("log_signal_var")?)?,
+            Deserialize::from_value(field("log_lengthscales")?)?,
+        ))
+    }
+}
+
+/// Squared-exponential (RBF) kernel with Automatic Relevance Determination:
+///
+/// ```text
+/// k(a, b) = σ_f² exp( -½ Σ_i (a_i - b_i)² / ℓ_i² )
+/// ```
+#[derive(Debug, Clone)]
+pub struct SquaredExpArd {
+    ard: Ard,
+}
+
+impl SquaredExpArd {
+    /// Create with uniform `lengthscale` across `dim` inputs and signal
+    /// variance `signal_var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero or either scale parameter is not positive.
+    pub fn new(dim: usize, signal_var: f64, lengthscale: f64) -> Self {
+        SquaredExpArd {
+            ard: Ard::new(dim, signal_var, lengthscale),
+        }
+    }
+
+    /// Current lengthscales (linear space).
+    pub fn lengthscales(&self) -> Vec<f64> {
+        self.ard.lengthscales()
+    }
+}
+
+// Hand-written (de)serialization: the vendored derive cannot skip a
+// field, and the wire form stays the two log-space fields. Deserializing
+// rebuilds the scale cache.
+impl Serialize for SquaredExpArd {
+    fn to_value(&self) -> serde::Value {
+        self.ard.to_value()
+    }
+}
+
+impl Deserialize for SquaredExpArd {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Ard::from_value(v, "SquaredExpArd").map(|ard| SquaredExpArd { ard })
+    }
+}
+
+impl Kernel for SquaredExpArd {
+    fn n_params(&self) -> usize {
+        self.ard.n_params()
+    }
+
+    fn params(&self) -> Vec<f64> {
+        self.ard.params()
+    }
+
+    fn set_params(&mut self, p: &[f64]) {
+        self.ard.set_params(p);
     }
 
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), self.log_lengthscales.len());
-        let mut s = 0.0;
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            s += d * d;
-        }
-        self.log_signal_var.exp() * (-0.5 * s).exp()
+        let s = self.ard.r2(a, b);
+        self.ard.sf2 * (-0.5 * s).exp()
     }
 
     fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.n_params());
-        let mut s = 0.0;
         // Scaled squared distances per dimension, reused for the gradient.
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            let d2 = d * d;
-            grad[1 + i] = d2; // placeholder, scaled below
-            s += d2;
-        }
-        let k = self.log_signal_var.exp() * (-0.5 * s).exp();
+        let s = self.ard.r2_per_dim(a, b, &mut grad[1..]);
+        let k = self.ard.sf2 * (-0.5 * s).exp();
         // ∂k/∂ log σ_f² = k ;  ∂k/∂ log ℓ_i = k * d_i²
         grad[0] = k;
         for g in grad[1..].iter_mut() {
@@ -117,11 +229,11 @@ impl Kernel for SquaredExpArd {
     }
 
     fn diag(&self) -> f64 {
-        self.log_signal_var.exp()
+        self.ard.sf2
     }
 
     fn input_dim(&self) -> usize {
-        self.log_lengthscales.len()
+        self.ard.inv_l.len()
     }
 }
 
@@ -133,10 +245,9 @@ impl Kernel for SquaredExpArd {
 /// r²   = Σ_i (a_i - b_i)² / ℓ_i²
 /// k    = σ_f² (1 + √5 r + 5r²/3) exp(-√5 r)
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Matern52Ard {
-    log_signal_var: f64,
-    log_lengthscales: Vec<f64>,
+    ard: Ard,
 }
 
 impl Matern52Ard {
@@ -146,59 +257,55 @@ impl Matern52Ard {
     ///
     /// Panics if `dim` is zero or either scale parameter is not positive.
     pub fn new(dim: usize, signal_var: f64, lengthscale: f64) -> Self {
-        assert!(dim > 0 && signal_var > 0.0 && lengthscale > 0.0);
         Matern52Ard {
-            log_signal_var: signal_var.ln(),
-            log_lengthscales: vec![lengthscale.ln(); dim],
+            ard: Ard::new(dim, signal_var, lengthscale),
         }
     }
 
     /// Current lengthscales (linear space).
     pub fn lengthscales(&self) -> Vec<f64> {
-        self.log_lengthscales.iter().map(|l| l.exp()).collect()
+        self.ard.lengthscales()
+    }
+}
+
+// Same wire form as `SquaredExpArd`: the two log-space fields.
+impl Serialize for Matern52Ard {
+    fn to_value(&self) -> serde::Value {
+        self.ard.to_value()
+    }
+}
+
+impl Deserialize for Matern52Ard {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Ard::from_value(v, "Matern52Ard").map(|ard| Matern52Ard { ard })
     }
 }
 
 impl Kernel for Matern52Ard {
     fn n_params(&self) -> usize {
-        1 + self.log_lengthscales.len()
+        self.ard.n_params()
     }
 
     fn params(&self) -> Vec<f64> {
-        let mut p = Vec::with_capacity(self.n_params());
-        p.push(self.log_signal_var);
-        p.extend_from_slice(&self.log_lengthscales);
-        p
+        self.ard.params()
     }
 
     fn set_params(&mut self, p: &[f64]) {
-        assert_eq!(p.len(), self.n_params());
-        self.log_signal_var = p[0];
-        self.log_lengthscales.copy_from_slice(&p[1..]);
+        self.ard.set_params(p);
     }
 
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let mut r2 = 0.0;
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            r2 += d * d;
-        }
+        let r2 = self.ard.r2(a, b);
         let r = r2.sqrt();
         let sqrt5_r = 5.0_f64.sqrt() * r;
-        self.log_signal_var.exp() * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
+        self.ard.sf2 * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
     }
 
     fn eval_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.n_params());
-        let sf2 = self.log_signal_var.exp();
-        let mut r2 = 0.0;
-        for i in 0..a.len() {
-            let inv_l = (-self.log_lengthscales[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            grad[1 + i] = d * d; // per-dim scaled squared distance
-            r2 += d * d;
-        }
+        let sf2 = self.ard.sf2;
+        // Per-dim scaled squared distances land in grad[1..].
+        let r2 = self.ard.r2_per_dim(a, b, &mut grad[1..]);
         let r = r2.sqrt();
         let sqrt5 = 5.0_f64.sqrt();
         let e = (-sqrt5 * r).exp();
@@ -216,11 +323,11 @@ impl Kernel for Matern52Ard {
     }
 
     fn diag(&self) -> f64 {
-        self.log_signal_var.exp()
+        self.ard.sf2
     }
 
     fn input_dim(&self) -> usize {
-        self.log_lengthscales.len()
+        self.ard.inv_l.len()
     }
 }
 
@@ -307,6 +414,53 @@ mod tests {
         assert!((kv - 1.0).abs() < 1e-12);
         assert!(g.iter().all(|v| v.is_finite()));
         assert!((g[1]).abs() < 1e-12 && (g[2]).abs() < 1e-12);
+    }
+
+    fn assert_bit_equal<K: Kernel>(k1: &K, k2: &K, a: &[f64], b: &[f64]) {
+        assert_eq!(k1.eval(a, b).to_bits(), k2.eval(a, b).to_bits());
+        let mut g1 = vec![0.0; k1.n_params()];
+        let mut g2 = vec![0.0; k2.n_params()];
+        let v1 = k1.eval_grad(a, b, &mut g1);
+        let v2 = k2.eval_grad(a, b, &mut g2);
+        assert_eq!(v1.to_bits(), v2.to_bits());
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g1), bits(&g2));
+        assert_eq!(k1.diag().to_bits(), k2.diag().to_bits());
+    }
+
+    fn json_keys(json: &str) -> Vec<String> {
+        let v: serde::Value = serde_json::from_str(json).unwrap();
+        v.as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    #[test]
+    fn serde_keeps_wire_form_and_rebuilds_scales() {
+        let p = [0.7, -1.3, 0.2, 2.5];
+        let a = [0.1, 0.9, 0.4];
+        let b = [0.7, 0.2, 0.3];
+
+        let mut se = SquaredExpArd::new(3, 1.0, 1.0);
+        se.set_params(&p);
+        let json = serde_json::to_string(&se).unwrap();
+        assert_eq!(json_keys(&json), ["log_signal_var", "log_lengthscales"]);
+        let back: SquaredExpArd = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.params(), se.params());
+        assert_bit_equal(&se, &back, &a, &b);
+
+        let mut m52 = Matern52Ard::new(3, 1.0, 1.0);
+        m52.set_params(&p);
+        let json = serde_json::to_string(&m52).unwrap();
+        assert_eq!(json_keys(&json), ["log_signal_var", "log_lengthscales"]);
+        let back: Matern52Ard = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.params(), m52.params());
+        assert_bit_equal(&m52, &back, &a, &b);
+
+        let missing: Result<Matern52Ard, _> = serde_json::from_str(r#"{"log_signal_var": 0.0}"#);
+        assert!(missing.is_err());
     }
 
     #[test]

@@ -23,8 +23,49 @@ fn arb_dataset() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
     })
 }
 
+/// Two points and log-hyperparameters anywhere in the fit's clamp
+/// `[-9, 9]`, for a kernel of 1 to 7 inputs. Every third case repeats
+/// `a` as `b` (the diagonal of a Gram matrix).
+fn arb_kernel_case() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
+    (1usize..8, 0usize..3).prop_flat_map(|(d, same)| {
+        (
+            prop::collection::vec(-2.0f64..2.0, d),
+            prop::collection::vec(-2.0f64..2.0, d),
+            prop::collection::vec(-9.0f64..=9.0, d + 1),
+        )
+            .prop_map(move |(a, b, p)| {
+                let b = if same == 0 { a.clone() } else { b };
+                (a, b, p)
+            })
+    })
+}
+
+/// `k(a, b)` and `k(b, a)` are bit-equal, and `eval_grad` returns
+/// `eval`'s value bit for bit: the Gram build mirrors each pair and the
+/// LML gradient sweep relies on both.
+fn assert_kernel_bitwise<K: Kernel>(mut k: K, a: &[f64], b: &[f64], p: &[f64]) {
+    k.set_params(p);
+    let kab = k.eval(a, b);
+    prop_assert_eq!(kab.to_bits(), k.eval(b, a).to_bits(), "k(a,b) = {kab}");
+    let mut grad = vec![0.0; k.n_params()];
+    let kg = k.eval_grad(a, b, &mut grad);
+    prop_assert_eq!(kg.to_bits(), kab.to_bits(), "eval_grad {kg} vs eval {kab}");
+    let mut grad_ba = vec![0.0; k.n_params()];
+    k.eval_grad(b, a, &mut grad_ba);
+    for (g1, g2) in grad.iter().zip(&grad_ba) {
+        prop_assert_eq!(g1.to_bits(), g2.to_bits());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn kernels_are_bitwise_symmetric_and_grad_matches_eval((a, b, p) in arb_kernel_case()) {
+        let d = a.len();
+        assert_kernel_bitwise(Matern52Ard::new(d, 1.0, 1.0), &a, &b, &p);
+        assert_kernel_bitwise(SquaredExpArd::new(d, 1.0, 1.0), &a, &b, &p);
+    }
 
     #[test]
     fn posterior_variance_is_bounded_by_prior((xs, ys) in arb_dataset()) {

@@ -135,18 +135,18 @@ pub fn gemv_t_into(a: &Mat, v: &[f64], out: &mut [f64]) {
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
+    let (a4, a_tail) = a.as_chunks::<4>();
+    let (b4, b_tail) = b[..a.len()].as_chunks::<4>();
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for c in 0..chunks {
-        let i = c * 4;
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
+    for ([a0, a1, a2, a3], [b0, b1, b2, b3]) in a4.iter().zip(b4) {
+        s0 += a0 * b0;
+        s1 += a1 * b1;
+        s2 += a2 * b2;
+        s3 += a3 * b3;
     }
     let mut rest = 0.0;
-    for i in chunks * 4..a.len() {
-        rest += a[i] * b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        rest += x * y;
     }
     s0 + s1 + s2 + s3 + rest
 }
@@ -230,6 +230,19 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
             let expected: f64 = (0..n).map(|i| (i * (i + 1)) as f64).sum();
             assert_eq!(dot(&a, &b), expected, "n={n}");
+
+            // Inexact products pin the summation order: lane `i % 4` of
+            // each full chunk, then the tail, then `s0 + s1 + s2 + s3 + rest`.
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+            let full = n / 4 * 4;
+            let mut lanes = [0.0; 5];
+            for i in 0..n {
+                lanes[if i < full { i % 4 } else { 4 }] += a[i] * b[i];
+            }
+            let [s0, s1, s2, s3, rest] = lanes;
+            let expected = s0 + s1 + s2 + s3 + rest;
+            assert_eq!(dot(&a, &b).to_bits(), expected.to_bits(), "n={n}");
         }
     }
 }

@@ -109,10 +109,61 @@ impl Cholesky {
         self.l.diag().iter().map(|d| d.ln()).sum::<f64>() * 2.0
     }
 
-    /// Explicit inverse `A^{-1}` (used for LML gradients where the full
-    /// inverse genuinely appears; prefer the solve methods elsewhere).
-    pub fn inverse(&self) -> Mat {
-        self.solve_mat(&Mat::identity(self.dim()))
+    /// Lower triangle of the explicit inverse `A^{-1}`; entries above the
+    /// diagonal are zero. `A^{-1}` is symmetric, so this is all of it.
+    /// Used for LML gradients, which sweep the pairs `j ≤ i`; prefer the
+    /// solve methods elsewhere.
+    ///
+    /// This is [`solve_mat`](Self::solve_mat) against the identity with
+    /// row `i` of both substitutions restricted to columns `≤ i`. The
+    /// forward pass yields `L^{-1}`, whose row `k` is zero past column
+    /// `k`, so it only adds in columns `≤ k`. The backward pass at
+    /// `(i, j ≤ i)` only reads rows `k > i` at column `j`, which are kept.
+    /// The kept entries see the same operations in the same order, so
+    /// for a finite factor they are bit-equal to the full solve's, at
+    /// `≈ n³/3` multiply-adds instead of `n³`.
+    pub fn inverse_lower(&self) -> Mat {
+        let n = self.dim();
+        let mut x = Mat::identity(n);
+        // Forward: X <- L^{-1} I, row by row.
+        for i in 0..n {
+            let l_row = self.l.row(i);
+            let (above, rest) = x.as_mut_slice().split_at_mut(i * n);
+            let row_i = &mut rest[..=i];
+            for (k, (&l_ik, row_k)) in l_row.iter().zip(above.chunks_exact(n)).enumerate() {
+                // lint:allow(float_cmp) exact sparse-skip of zero entries
+                if l_ik == 0.0 {
+                    continue;
+                }
+                for (xi, xk) in row_i.iter_mut().zip(row_k).take(k + 1) {
+                    *xi -= l_ik * xk;
+                }
+            }
+            let inv = 1.0 / l_row[i];
+            for v in row_i.iter_mut() {
+                *v *= inv;
+            }
+        }
+        // Backward: X <- L^{-T} X, bottom row first.
+        for i in (0..n).rev() {
+            let (upto, below) = x.as_mut_slice().split_at_mut((i + 1) * n);
+            let row_i = &mut upto[i * n..=i * n + i];
+            for (k, row_k) in (i + 1..n).zip(below.chunks_exact(n)) {
+                let l_ki = self.l[(k, i)];
+                // lint:allow(float_cmp) exact sparse-skip of zero entries
+                if l_ki == 0.0 {
+                    continue;
+                }
+                for (xi, xk) in row_i.iter_mut().zip(row_k) {
+                    *xi -= l_ki * xk;
+                }
+            }
+            let inv = 1.0 / self.l[(i, i)];
+            for v in row_i.iter_mut() {
+                *v *= inv;
+            }
+        }
+        x
     }
 
     /// Quadratic form `b^T A^{-1} b` computed stably as `||L^{-1} b||^2`.

@@ -18,8 +18,80 @@ fn arb_spd(max_n: usize) -> impl Strategy<Value = Mat> {
         })
 }
 
+/// Random SPD matrix whose factor has exact zeros: `arb_spd` with the
+/// coupling between the leading `split` rows and the rest cut, so `L`
+/// is block diagonal and the substitutions take their zero-skip branch.
+fn arb_block_spd(max_n: usize) -> impl Strategy<Value = (Mat, usize)> {
+    (arb_spd(max_n), 1usize..max_n).prop_map(|(mut a, split)| {
+        let n = a.rows();
+        let split = split.min(n - 1);
+        for i in split..n {
+            for j in 0..split {
+                a[(i, j)] = 0.0;
+                a[(j, i)] = 0.0;
+            }
+        }
+        (a, split)
+    })
+}
+
+/// Random rank-deficient Gram matrix `B Bᵀ` with `B` of `rank < n`
+/// columns. It is singular, but rounding can leave every pivot
+/// positive, so only the draws that `Cholesky::factor` had to jitter
+/// are kept.
+fn arb_jittered_gram(max_n: usize) -> impl Strategy<Value = Mat> {
+    (
+        3usize..max_n,
+        1usize..3,
+        prop::collection::vec(-1.0f64..1.0, max_n * 2),
+    )
+        .prop_map(|(n, rank, data)| {
+            let b = Mat::from_fn(n, rank, |i, j| data[i * 2 + j]);
+            blas::matmul_nt(&b, &b).unwrap()
+        })
+        .prop_filter("factor needed jitter", |a| {
+            Cholesky::factor(a).is_ok_and(|ch| ch.jitter() > 0.0)
+        })
+}
+
+/// `inverse_lower` must equal the lower triangle of the full inverse
+/// `solve_mat(I)` bit for bit, with exact zeros above the diagonal.
+fn assert_inverse_lower_is_bitwise(ch: &Cholesky) {
+    let n = ch.dim();
+    let full = ch.solve_mat(&Mat::identity(n));
+    let lower = ch.inverse_lower();
+    prop_assert_eq!(lower.shape(), (n, n));
+    for i in 0..n {
+        for j in 0..n {
+            let got = lower[(i, j)].to_bits();
+            let want = if j <= i { full[(i, j)].to_bits() } else { 0 };
+            prop_assert_eq!(got, want, "entry ({}, {}) of {}x{}", i, j, n, n);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn inverse_lower_matches_full_solve_bitwise(a in arb_spd(14)) {
+        assert_inverse_lower_is_bitwise(&Cholesky::factor(&a).unwrap());
+    }
+
+    #[test]
+    fn inverse_lower_matches_full_solve_bitwise_on_sparse_factors(
+        (a, split) in arb_block_spd(12),
+    ) {
+        let ch = Cholesky::factor(&a).unwrap();
+        // lint:allow(float_cmp) the cut coupling must leave exact zeros
+        prop_assert!(ch.l()[(a.rows() - 1, split - 1)] == 0.0);
+        assert_inverse_lower_is_bitwise(&ch);
+    }
+
+    #[test]
+    fn inverse_lower_matches_full_solve_bitwise_when_jittered(a in arb_jittered_gram(12)) {
+        assert_inverse_lower_is_bitwise(&Cholesky::factor(&a).unwrap());
+    }
 
     #[test]
     fn cholesky_reconstructs_input(a in arb_spd(12)) {

@@ -8,30 +8,47 @@
 //! high-water mark, and every batch after that must leave the
 //! allocation counter untouched — on a 10k-vertex topology, the scale
 //! the batched engine exists for. Lives in its own integration-test
-//! binary so the counting allocator cannot skew any other suite.
+//! binary so the counting allocator cannot skew any other suite; the
+//! count is per thread, so the harness's own threads cannot leak into
+//! the measured window either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mtm_stormsim::topology::{Topology, TopologyBuilder};
 use mtm_stormsim::{ClusterSpec, FlowSimulator, SimBatch, StormConfig};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the test harness runs tests (and its own bookkeeping)
+    // on other threads, whose allocations must not land in a window
+    // measured here. Const-initialized with no destructor, so touching
+    // it from inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no other side effects.
+// is a thread-local cell with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -108,11 +125,11 @@ fn warm_batch_evaluates_10k_vertices_without_allocating() {
             .collect::<Vec<_>>()
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..3 {
         sim.evaluate_batch_into(&sweep, &mut batch).unwrap();
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
